@@ -105,8 +105,9 @@ const MODEL_NAME_ALLOW: &[&str] = &[
 
 /// The spill descent's per-step hot functions, as `(file, fn)` pairs:
 /// one rewrite + reschedule + requirement round runs through each of
-/// these per spill step, so a `.clone()` of the loop, schedule, DDG or
-/// lifetime structures here is a per-step deep copy. Deliberate copies
+/// these per spill step (and one II attempt or rebuild per escalation
+/// rung), so a `.clone()` of the loop, schedule, DDG or lifetime
+/// structures here is a per-step deep copy. Deliberate copies
 /// on cold exits spell `.to_owned()` instead; per-commit caching lives
 /// in functions outside this table (e.g. `SchedContext::commit`).
 const SPILL_HOT_FNS: &[(&str, &str)] = &[
@@ -116,6 +117,10 @@ const SPILL_HOT_FNS: &[(&str, &str)] = &[
     ("crates/sched/src/context.rs", "schedule"),
     ("crates/sched/src/context.rs", "attempt"),
     ("crates/sched/src/context.rs", "attempt_merged"),
+    ("crates/sched/src/context.rs", "schedule_rung"),
+    ("crates/spill/src/ladder.rs", "climb"),
+    ("crates/spill/src/ladder.rs", "rung"),
+    ("crates/spill/src/ladder.rs", "rebuild"),
 ];
 
 /// The files of the u32 SoA index space, watched by the

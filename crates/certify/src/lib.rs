@@ -30,8 +30,8 @@
 
 use ncdrf::{
     CellCertifier, CertifyViolation, LoopAnalysis, LoopEval, ModelId, RequirementCtx,
-    RULE_DEPENDENCE, RULE_FU_BINDING, RULE_MRT_OVERFLOW, RULE_REQUIREMENT, RULE_SPILL_SHAPE,
-    RULE_UNIT_CONFLICT,
+    RULE_DEPENDENCE, RULE_FLOOR_SKIP, RULE_FU_BINDING, RULE_MRT_OVERFLOW, RULE_REQUIREMENT,
+    RULE_SPILL_SHAPE, RULE_UNIT_CONFLICT,
 };
 use ncdrf_ddg::{ArrayRole, Loop, OpKind, ValueRef};
 use ncdrf_machine::{ClusterId, Machine};
@@ -848,6 +848,88 @@ pub fn certify_checkpoint(
         .map_err(|v| v.locate(format!("checkpoint {step}: ")))
 }
 
+/// The most lifetimes of one iteration live at the same absolute cycle,
+/// counted by scanning every cycle a lifetime starts at (the count only
+/// rises at starts).
+fn single_iteration_overlap(lts: &[Lifetime]) -> u32 {
+    let live: Vec<&Lifetime> = lts.iter().filter(|lt| lt.end > lt.start).collect();
+    live.iter()
+        .map(|at| {
+            live.iter()
+                .filter(|lt| lt.start <= at.start && at.start < lt.end)
+                .count()
+        })
+        .max()
+        .map_or(0, |c| u32::try_from(c).unwrap_or(u32::MAX))
+}
+
+/// Certifies a floor skip of the II-escalation fallback: an unfit
+/// evaluation served the final rung (`l`/`sched`, requirement `regs`
+/// under `model`) without evaluating the rungs below it, because the
+/// model floor `claimed_floor` derived at the first stationary rung
+/// exceeds `budget` ([`RULE_FLOOR_SKIP`] on any failure).
+///
+/// Every lifetime of the final rung contains its counterpart at the
+/// stationary rung, so the final rung's single-iteration overlap, mapped
+/// through the model's
+/// [`ModelSpec::requirement_floor`](ncdrf::ModelSpec::requirement_floor)
+/// hook, bounds the claim from above. The check recomputes that bound
+/// from the final schedule and requires
+///
+/// * the model to declare a floor at all,
+/// * `budget < claimed_floor` (an understated floor justifies nothing),
+/// * `claimed_floor <=` the recomputed bound, and the bound `<= regs`
+///   (a floor the schedule's own lifetimes or requirement contradict).
+///
+/// # Errors
+///
+/// Returns the first failed condition, naming the II, the budget and
+/// both floors.
+#[allow(clippy::too_many_arguments)]
+pub fn certify_floor_skip(
+    l: &Loop,
+    machine: &Machine,
+    sched: &Schedule,
+    model: ModelId,
+    budget: u32,
+    regs: u32,
+    claimed_floor: u32,
+) -> Result<(), CertifyViolation> {
+    let ii = sched.ii();
+    let overlap = single_iteration_overlap(&value_lifetimes(l, machine, sched)?);
+    let Some(bound) = model.spec().requirement_floor(overlap) else {
+        return Err(violation(
+            RULE_FLOOR_SKIP,
+            format!(
+                "II {ii} was reached by a floor skip, but model `{model}` declares no \
+                 requirement floor"
+            ),
+        ));
+    };
+    let located = |what: &str| {
+        violation(
+            RULE_FLOOR_SKIP,
+            format!(
+                "II {ii}: {what} (claimed floor {claimed_floor}, budget {budget}; the final \
+                 rung's single-iteration overlap of {overlap} gives {bound}; requirement \
+                 {regs})"
+            ),
+        )
+    };
+    if claimed_floor <= budget {
+        return Err(located(
+            "the floor does not exceed the budget, so the skipped rungs were never proven \
+             unfit",
+        ));
+    }
+    if claimed_floor > bound || bound > regs {
+        return Err(located(
+            "the floor is not supported by the final rung's lifetimes",
+        ));
+    }
+    Ok(())
+}
+
 /// The stateless [`CellCertifier`] implementation over this crate's
 /// checks — what `Sweep::certify`, the farm's delivery gate and
 /// `ncdrf_analyze certify` all instantiate.
@@ -898,6 +980,19 @@ impl CellCertifier for ScheduleCertifier {
         regs: u32,
     ) -> Result<(), CertifyViolation> {
         certify_checkpoint(step, l, machine, sched, model, regs)
+    }
+
+    fn certify_floor_skip(
+        &self,
+        l: &Loop,
+        machine: &Machine,
+        sched: &Schedule,
+        model: ModelId,
+        budget: u32,
+        regs: u32,
+        claimed_floor: u32,
+    ) -> Result<(), CertifyViolation> {
+        certify_floor_skip(l, machine, sched, model, budget, regs, claimed_floor)
     }
 }
 
@@ -950,6 +1045,17 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn single_iteration_overlap_ignores_touching_and_empty_lifetimes() {
+        assert_eq!(single_iteration_overlap(&[lt(0, 0, 3), lt(1, 3, 6)]), 1);
+        assert_eq!(
+            single_iteration_overlap(&[lt(0, 0, 4), lt(1, 3, 6), lt(2, 2, 5)]),
+            3
+        );
+        assert_eq!(single_iteration_overlap(&[lt(0, 2, 2)]), 0);
+        assert_eq!(single_iteration_overlap(&[]), 0);
     }
 
     #[test]

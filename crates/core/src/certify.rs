@@ -35,6 +35,11 @@ pub const RULE_REQUIREMENT: &str = "requirement-mismatch";
 /// spill stores / reloads, a victim still consumed directly, or memory-op
 /// counts that do not add up).
 pub const RULE_SPILL_SHAPE: &str = "spill-shape";
+/// Rule id: an unfit II-escalation answer skipped rungs on the strength
+/// of a model requirement floor that independent recomputation does not
+/// support (the floor does not exceed the budget, or exceeds the final
+/// rung's own requirement, or the model declares no floor).
+pub const RULE_FLOOR_SKIP: &str = "floor-skip";
 
 /// One constraint violation found by a certifier: a stable rule id plus a
 /// human-readable locator naming the offending operations or quantities.
@@ -90,6 +95,9 @@ impl std::error::Error for CertifyViolation {}
 ///   cells `final_l` differs from `original` by the claimed spill code.
 /// * [`certify_checkpoint`](CellCertifier::certify_checkpoint) — one
 ///   restored spill-trajectory checkpoint (step 0 is the unspilled base).
+/// * [`certify_floor_skip`](CellCertifier::certify_floor_skip) — an
+///   unfit evaluation whose II-escalation fallback skipped rungs because
+///   the model's requirement floor exceeds the budget.
 pub trait CellCertifier: Send + Sync + fmt::Debug {
     /// Certifies an unlimited-register analysis result.
     fn certify_analysis(
@@ -127,6 +135,24 @@ pub trait CellCertifier: Send + Sync + fmt::Debug {
         sched: &Schedule,
         model: ModelId,
         regs: u32,
+    ) -> Result<(), CertifyViolation>;
+
+    /// Certifies a floor skip of the II-escalation ladder: `l`/`sched`
+    /// are the served final rung (its loop and schedule), `regs` its
+    /// requirement under `model`, and `claimed_floor` the model floor
+    /// the ladder derived at its first stationary rung. The skip is
+    /// sound when that floor exceeds `budget` and the final rung's own
+    /// lifetimes support it.
+    #[allow(clippy::too_many_arguments)]
+    fn certify_floor_skip(
+        &self,
+        l: &Loop,
+        machine: &Machine,
+        sched: &Schedule,
+        model: ModelId,
+        budget: u32,
+        regs: u32,
+        claimed_floor: u32,
     ) -> Result<(), CertifyViolation>;
 }
 

@@ -90,7 +90,7 @@ pub use artifact::{
     scan_artifacts, sweep_for_signature, write_artifact, ArtifactError,
 };
 pub use certify::{
-    CellCertifier, CellFault, CertifyViolation, RULE_DEPENDENCE, RULE_FU_BINDING,
+    CellCertifier, CellFault, CertifyViolation, RULE_DEPENDENCE, RULE_FLOOR_SKIP, RULE_FU_BINDING,
     RULE_MRT_OVERFLOW, RULE_REQUIREMENT, RULE_SPILL_SHAPE, RULE_UNIT_CONFLICT,
 };
 pub use distribution::{default_points, Cumulative, Observation, TABLE1_POINTS};
@@ -120,7 +120,7 @@ pub use report::{
     render_grid_signature, BudgetMetric, BudgetTable, DistributionPanel, Render, ReportFormat,
     ReportParseError,
 };
-pub use session::{BaseSchedule, CacheStats, Session, TrajectoryExport};
+pub use session::{BaseSchedule, CacheStats, EscalationStats, Session, TrajectoryExport};
 pub use shard::{CellTrajectory, GridSignature, MachineSig, Provenance, ShardRole, SweepShard};
 pub use sweep::{certify_shard, shard_tasks, PartialSweep, Sweep, SweepReport};
 

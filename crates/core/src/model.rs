@@ -140,6 +140,25 @@ pub trait ModelSpec: Send + Sync {
         let _ = ctx;
         raw
     }
+
+    /// A lower bound on this model's requirement of any schedule whose
+    /// **unified** raw requirement (First-Fit on one rotating file) is at
+    /// least `raw_floor` — or `None` when the model declares no such
+    /// bound. The default is `None`.
+    ///
+    /// The II-escalation fallback uses it to stop early: once raising
+    /// the II no longer changes the schedule, it derives `raw_floor` for
+    /// every larger II from the schedule's lifetimes, and when this
+    /// floor exceeds the budget it serves the final rung directly
+    /// instead of evaluating the rungs in between. A `Some` answer must
+    /// therefore be sound for every schedule — a model whose requirement
+    /// can drop below the unified allocation (a dual file, a swapping
+    /// pass, infinite registers) must return `None`. The certifier
+    /// re-checks every skip it justifies.
+    fn requirement_floor(&self, raw_floor: u32) -> Option<u32> {
+        let _ = raw_floor;
+        None
+    }
 }
 
 /// A paper built-in: fully described by its classification flags.
@@ -162,6 +181,11 @@ impl ModelSpec for BuiltinSpec {
     }
     fn is_ideal(&self) -> bool {
         self.ideal
+    }
+    /// The unified model *is* the unified allocation; the dual, swapped
+    /// and ideal models can need fewer registers, so they declare none.
+    fn requirement_floor(&self, raw_floor: u32) -> Option<u32> {
+        (!self.dual && !self.swaps && !self.ideal).then_some(raw_floor)
     }
 }
 
@@ -199,6 +223,11 @@ impl ModelSpec for PortLimitedSpec {
         let excess = per_cycle.saturating_sub(u64::from(self.read_ports));
         raw.saturating_add(excess.min(u64::from(u32::MAX)) as u32)
     }
+
+    /// The staging charge is never negative, so the unified floor holds.
+    fn requirement_floor(&self, raw_floor: u32) -> Option<u32> {
+        Some(raw_floor)
+    }
 }
 
 /// Compressed register file, after static register-data compression
@@ -225,6 +254,19 @@ impl ModelSpec for CompressedSpec {
     }
 
     fn effective_requirement(&self, raw: u32, _ctx: &RequirementCtx<'_>) -> u32 {
+        self.scale(raw)
+    }
+
+    /// Scaling is monotone, so the scaled unified floor bounds it.
+    fn requirement_floor(&self, raw_floor: u32) -> Option<u32> {
+        Some(self.scale(raw_floor))
+    }
+}
+
+impl CompressedSpec {
+    /// `ceil(raw * den / num)`: the physical registers `raw`
+    /// architectural ones occupy.
+    fn scale(&self, raw: u32) -> u32 {
         let num = u64::from(self.capacity_num.max(1));
         let den = u64::from(self.capacity_den.max(1));
         let scaled = (u64::from(raw) * den).div_ceil(num);
@@ -648,6 +690,17 @@ mod tests {
         // With zero ports every steady-state read is charged.
         let starved = PortLimitedSpec { read_ports: 0 };
         assert_eq!(starved.effective_requirement(7, &ctx), 7 + reads as u32);
+    }
+
+    #[test]
+    fn requirement_floors_follow_the_model_family() {
+        assert_eq!(ModelId::UNIFIED.spec().requirement_floor(9), Some(9));
+        assert_eq!(ModelId::PORT_LIMITED.spec().requirement_floor(9), Some(9));
+        // ceil(9 * 3/4) = 7, the same scaling as the requirement.
+        assert_eq!(ModelId::COMPRESSED.spec().requirement_floor(9), Some(7));
+        for id in [ModelId::IDEAL, ModelId::PARTITIONED, ModelId::SWAPPED] {
+            assert_eq!(id.spec().requirement_floor(9), None, "{id}");
+        }
     }
 
     #[test]

@@ -294,6 +294,9 @@ impl<'c> Sweep<'c> {
                     want_points,
                 )
             }));
+            // Each (machine, loop) pair is exactly one task: nothing
+            // else reads this loop's cached state.
+            sessions[mi].forget_loop(loops[li].name());
             if fail_fast && !matches!(outcome, Ok(Ok(_))) {
                 cancelled.store(true, Ordering::Relaxed);
             }
@@ -1222,6 +1225,22 @@ mod tests {
                 _: &Machine,
                 _: &Schedule,
                 _: crate::ModelId,
+                _: u32,
+            ) -> Result<(), CertifyViolation> {
+                self.calls.fetch_add(1, Ordering::SeqCst);
+                if self.reject {
+                    return Err(CertifyViolation::new("stub", "rejects everything"));
+                }
+                Ok(())
+            }
+            fn certify_floor_skip(
+                &self,
+                _: &Loop,
+                _: &Machine,
+                _: &Schedule,
+                _: crate::ModelId,
+                _: u32,
+                _: u32,
                 _: u32,
             ) -> Result<(), CertifyViolation> {
                 self.calls.fetch_add(1, Ordering::SeqCst);

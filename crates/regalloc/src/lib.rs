@@ -53,7 +53,7 @@ mod sacks;
 
 pub use alloc::{allocate_unified, allocate_unified_with, verify_unified, FitPolicy, UnifiedAlloc};
 pub use dual::{allocate_dual, classify, verify_dual, DualAlloc, DualPressure, ValueClass};
-pub use lifetime::{lifetimes, lifetimes_into, max_live, max_live_subset, Lifetime};
+pub use lifetime::{flat_overlap, lifetimes, lifetimes_into, max_live, max_live_subset, Lifetime};
 pub use multi::{
     allocate_multi, classify_multi, multi_pressure, verify_multi, ClusterSet, MultiAlloc,
 };

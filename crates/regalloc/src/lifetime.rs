@@ -92,6 +92,33 @@ pub fn lifetimes_into(
     Ok(())
 }
 
+/// Flat overlap: the most lifetimes of a *single* iteration that are
+/// live at the same absolute cycle (`start <= t < end`).
+///
+/// Those values need pairwise distinct registers, and at any cycle of
+/// the steady state they are all live, so this is a lower bound on
+/// [`max_live`] — hence on every allocation — at the lifetimes' II. Under
+/// a larger II with unchanged start cycles each lifetime can only grow
+/// (carried consumers finish `dist * II` later), so the flat overlap of
+/// the current lifetimes also bounds the requirement at every larger
+/// II: the II-escalation ladder uses it to stop early.
+pub fn flat_overlap(lifetimes: &[Lifetime]) -> u32 {
+    // Ends sort before starts at the same cycle: `[a, t)` and `[t, b)`
+    // never overlap.
+    let mut events: Vec<(u32, i8)> = Vec::with_capacity(2 * lifetimes.len());
+    for lt in lifetimes.iter().filter(|lt| !lt.is_empty()) {
+        events.push((lt.start, 1));
+        events.push((lt.end, -1));
+    }
+    events.sort_unstable();
+    let (mut live, mut best) = (0i64, 0i64);
+    for (_, delta) in events {
+        live += i64::from(delta);
+        best = best.max(live);
+    }
+    u32::try_from(best).unwrap_or(u32::MAX)
+}
+
 /// MaxLive: the maximum, over the II kernel cycles, of the number of
 /// simultaneously-live value instances. A lower bound on the registers any
 /// allocation needs.
@@ -140,6 +167,25 @@ mod tests {
         assert_eq!(lt.instances(2), 7);
         assert_eq!(lt.instances(13), 1);
         assert_eq!(lt.instances(14), 1);
+    }
+
+    #[test]
+    fn flat_overlap_counts_one_iteration() {
+        let lt = |i, start, end| Lifetime {
+            op: OpId::from_index(i),
+            start,
+            end,
+        };
+        // Touching intervals do not overlap; empty ones never count.
+        assert_eq!(flat_overlap(&[lt(0, 0, 3), lt(1, 3, 6)]), 1);
+        assert_eq!(flat_overlap(&[lt(0, 0, 4), lt(1, 3, 6), lt(2, 2, 5)]), 3);
+        assert_eq!(flat_overlap(&[lt(0, 2, 2)]), 0);
+        assert_eq!(flat_overlap(&[]), 0);
+        // A lower bound on MaxLive at any II.
+        let lts = [lt(0, 0, 13), lt(1, 1, 4), lt(2, 5, 9)];
+        for ii in 1..16 {
+            assert!(flat_overlap(&lts) <= max_live(&lts, ii), "ii {ii}");
+        }
     }
 
     #[test]

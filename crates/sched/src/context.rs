@@ -103,6 +103,35 @@ struct RunCache {
     edges: Vec<(u32, u32, u32)>,
 }
 
+/// One rung of an II-escalation ladder: the outcome of a single IMS
+/// attempt at a fixed II (see [`SchedContext::schedule_rung`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Rung {
+    /// The schedule found at this rung's II.
+    pub sched: Schedule,
+    /// The stationarity certificate. It holds when, at this II:
+    ///
+    /// 1. the priorities equal the priorities with every carried edge
+    ///    (distance at least 1) dropped;
+    /// 2. the attempt evicted nothing;
+    /// 3. every operation finishes within the first II cycles
+    ///    (`start + latency <= II`).
+    ///
+    /// Then an attempt at any larger II picks the same ops in the same
+    /// order, sees the same earliest starts (carried terms only shrink
+    /// and were already non-binding), finds the same free rows (no row
+    /// wraps) and evicts nothing: it yields **identical starts and
+    /// units**, so later rungs are `Schedule::from_parts` of this one's
+    /// placements at the larger II.
+    pub stationary: bool,
+}
+
+/// The pick budget of one IMS attempt: `budget_ratio` picks per op, at
+/// least 64 (the reference scheduler's budget).
+fn attempt_budget(opts: SchedulerOptions, n: usize) -> u64 {
+    (opts.budget_ratio as u64).saturating_mul(n as u64).max(64)
+}
+
 /// Reusable arena for modulo scheduling, plus the incremental-reschedule
 /// cache. See the module docs for the design; `SchedContext::schedule`
 /// is bit-identical to [`modulo_schedule_with`](crate::modulo_schedule_with)
@@ -122,6 +151,7 @@ pub struct SchedContext {
     cursor: Vec<u32>,
     // Per-attempt scratch.
     height: Vec<i64>,
+    flat_height: Vec<i64>,
     start: Vec<u32>,
     instance: Vec<u32>,
     prev_time: Vec<u32>,
@@ -227,16 +257,10 @@ impl SchedContext {
             .and_then(|p| self.prepare_incremental(l, machine, opts, p));
 
         for ii in info.mii..=max_ii {
-            // Quick infeasibility check: a self-dependence tighter than
-            // II (the reference scheduler's per-II pre-check).
-            if self
-                .edges
-                .iter()
-                .any(|&(f, t, d)| f == t && self.lat[f as usize] as i64 > ii as i64 * d as i64)
-            {
+            if self.self_recurrence_too_tight(ii) {
                 continue;
             }
-            let total_budget: u64 = (opts.budget_ratio as u64).saturating_mul(n as u64).max(64);
+            let total_budget = attempt_budget(opts, n);
             let ok = if Some(ii) == merge_ii {
                 let p = prev.as_ref().expect("merge_ii implies a cached run");
                 self.attempt_merged(p, n, ii, opts, total_budget)
@@ -250,6 +274,94 @@ impl SchedContext {
         Err(ScheduleError::NoSchedule {
             tried_up_to: max_ii,
         })
+    }
+
+    /// One IMS attempt at exactly `ii` under `opts` (priority and
+    /// budget ratio; `max_ii` plays no part at a fixed II), reusing the
+    /// context's arenas. Returns `Ok(None)` when the attempt fails (a
+    /// self-recurrence tighter than `ii`, or an exhausted budget), and
+    /// otherwise the schedule plus its stationarity certificate (see
+    /// [`Rung::stationary`]). The attempt is the one
+    /// [`modulo_schedule_with`](crate::modulo_schedule_with) runs at this
+    /// II; the incremental-reschedule cache is neither read nor written.
+    ///
+    /// # Errors
+    ///
+    /// [`MachineError::Unserved`] if the machine cannot execute some
+    /// operation.
+    pub fn schedule_rung(
+        &mut self,
+        l: &Loop,
+        machine: &Machine,
+        ii: u32,
+        opts: SchedulerOptions,
+    ) -> Result<Option<Rung>, MachineError> {
+        assert!(ii > 0, "II must be positive");
+        self.analyze(l, machine)?;
+        let n = l.ops().len();
+        if self.self_recurrence_too_tight(ii)
+            || !self.attempt(n, ii, opts.priority, attempt_budget(opts, n), false)
+        {
+            return Ok(None);
+        }
+        let stationary = self.is_stationary(n, ii, opts.priority);
+        Ok(Some(Rung {
+            sched: self.normalized(l, machine, ii),
+            stationary,
+        }))
+    }
+
+    /// The quick infeasibility check before an attempt: a self-dependence
+    /// tighter than `ii` (the reference scheduler's per-II pre-check).
+    fn self_recurrence_too_tight(&self, ii: u32) -> bool {
+        self.edges
+            .iter()
+            .any(|&(f, t, d)| f == t && self.lat[f as usize] as i64 > ii as i64 * d as i64)
+    }
+
+    /// The stationarity certificate of the successful attempt in the
+    /// arenas (see [`Rung::stationary`]).
+    fn is_stationary(&mut self, n: usize, ii: u32, priority: Priority) -> bool {
+        // Every eviction re-queues its victim, so a pick count of exactly
+        // one per op means nothing was evicted.
+        let picks: u64 = self.picks[..n].iter().map(|&p| u64::from(p)).sum();
+        if picks != n as u64 {
+            return false;
+        }
+        if (0..n).any(|v| u64::from(self.start[v]) + u64::from(self.lat[v]) > u64::from(ii)) {
+            return false;
+        }
+        match priority {
+            // Program order does not depend on the II.
+            Priority::InputOrder => true,
+            Priority::Height => {
+                // Heights never grow with the II and never drop below the
+                // same-iteration heights: equality here pins them at every
+                // larger II.
+                self.flat_height.clear();
+                self.flat_height.resize(n, 0);
+                for _ in 0..=n {
+                    let mut changed = false;
+                    for v in 0..n {
+                        for k in self.succ_off[v]..self.succ_off[v + 1] {
+                            let (_, w, dist) = self.edges[self.succ_edge[k as usize] as usize];
+                            if dist != 0 {
+                                continue;
+                            }
+                            let cand = self.lat[v] as i64 + self.flat_height[w as usize];
+                            if cand > self.flat_height[v] {
+                                self.flat_height[v] = cand;
+                                changed = true;
+                            }
+                        }
+                    }
+                    if !changed {
+                        break;
+                    }
+                }
+                self.flat_height[..n] == self.height[..n]
+            }
+        }
     }
 
     /// The incremental entry point, spelled out: schedules `l` assuming
@@ -680,18 +792,10 @@ impl SchedContext {
         true
     }
 
-    /// Normalizes the successful attempt into a [`Schedule`] (earliest
-    /// op at cycle 0, kernel slots preserved — the reference's shift by
-    /// a multiple of II) and refreshes the run cache for the next
-    /// incremental call.
-    fn commit(
-        &mut self,
-        l: &Loop,
-        machine: &Machine,
-        ii: u32,
-        opts: SchedulerOptions,
-        prev: Option<RunCache>,
-    ) -> Schedule {
+    /// The successful attempt in the arenas as a [`Schedule`]: the
+    /// earliest op moves to cycle 0 by a multiple of II, so kernel slots
+    /// are preserved (the reference scheduler's normalization).
+    fn normalized(&self, l: &Loop, machine: &Machine, ii: u32) -> Schedule {
         let n = l.ops().len();
         let t0 = self.start[..n].iter().copied().min().unwrap_or(0);
         let shift = (t0 / ii) * ii;
@@ -704,6 +808,21 @@ impl SchedContext {
             .collect();
         let sched = Schedule::from_parts(l, machine, ii, starts, units);
         debug_assert_eq!(crate::schedule::verify(l, machine, &sched), Ok(()));
+        sched
+    }
+
+    /// Normalizes the successful attempt into a [`Schedule`] and
+    /// refreshes the run cache for the next incremental call.
+    fn commit(
+        &mut self,
+        l: &Loop,
+        machine: &Machine,
+        ii: u32,
+        opts: SchedulerOptions,
+        prev: Option<RunCache>,
+    ) -> Schedule {
+        let n = l.ops().len();
+        let sched = self.normalized(l, machine, ii);
 
         // Refresh the run cache, recycling the retired cache's
         // allocations (the common spill-descent case commits once per
@@ -972,6 +1091,61 @@ mod tests {
         for (id, op) in extended.iter_ops() {
             if op.kind().is_memory() {
                 assert!(!mask[id.index()], "{} must be dirty", op.name());
+            }
+        }
+    }
+
+    #[test]
+    fn rungs_match_the_reference_attempt_and_reach_stationarity() {
+        for machine in machines() {
+            for size in [2, 5, 8] {
+                let l = chain(size);
+                let opts = SchedulerOptions::default();
+                let base = modulo_schedule_with(&l, &machine, opts).unwrap().ii();
+                // The sequential length: one op at a time.
+                let top: u32 = l
+                    .ops()
+                    .iter()
+                    .map(|op| machine.latency(op.kind()).unwrap() + 1)
+                    .sum::<u32>()
+                    + 1;
+                let mut ctx = SchedContext::new();
+                let mut first_stationary = None;
+                for ii in base..=top {
+                    let got = ctx.schedule_rung(&l, &machine, ii, opts).unwrap();
+                    let want = crate::ims::modulo_schedule_with(
+                        &l,
+                        &machine,
+                        SchedulerOptions {
+                            max_ii: Some(ii),
+                            ..opts
+                        },
+                    )
+                    .ok()
+                    .filter(|s| s.ii() == ii);
+                    // Where the reference's II search lands exactly on
+                    // `ii`, the rung is that very attempt.
+                    if let Some(want) = want {
+                        assert_eq!(got.as_ref().map(|r| &r.sched), Some(&want));
+                    }
+                    let Some(rung) = got else { continue };
+                    match &first_stationary {
+                        None if rung.stationary => first_stationary = Some(rung.sched),
+                        None => {}
+                        Some(st) => {
+                            assert!(rung.stationary, "{} chain({size}) II {ii}", machine.name());
+                            let starts = l.iter_ops().map(|(id, _)| st.start(id)).collect();
+                            let units = l.iter_ops().map(|(id, _)| st.unit(id)).collect();
+                            let rebuilt = Schedule::from_parts(&l, &machine, ii, starts, units);
+                            assert_eq!(rung.sched, rebuilt, "{} chain({size})", machine.name());
+                        }
+                    }
+                }
+                assert!(
+                    first_stationary.is_some(),
+                    "{} chain({size}) never became stationary",
+                    machine.name()
+                );
             }
         }
     }

@@ -116,7 +116,7 @@ pub fn modulo_schedule_with(
         None => seq_len.max(info.mii),
     };
     for ii in info.mii..=max_ii {
-        if let Some(s) = schedule_at_ii_opts(l, machine, ii, opts)? {
+        if let Some(s) = schedule_at_ii(l, machine, ii, opts)? {
             return Ok(s);
         }
     }
@@ -125,23 +125,11 @@ pub fn modulo_schedule_with(
     })
 }
 
-/// Attempts to schedule `l` at exactly the given II (one IMS pass with the
-/// default budget). Returns `Ok(None)` when the budget is exhausted without
-/// a valid schedule.
-///
-/// # Errors
-///
-/// Returns [`MachineError::Unserved`] if the machine cannot execute some
-/// operation.
-pub fn schedule_at_ii(
-    l: &Loop,
-    machine: &Machine,
-    ii: u32,
-) -> Result<Option<Schedule>, MachineError> {
-    schedule_at_ii_opts(l, machine, ii, SchedulerOptions::default())
-}
-
-fn schedule_at_ii_opts(
+/// Attempts to schedule `l` at exactly the given II (one IMS pass under
+/// `opts`). Returns `Ok(None)` when the budget is exhausted without a
+/// valid schedule. The allocation-free twin is
+/// [`SchedContext::schedule_rung`](crate::SchedContext::schedule_rung).
+fn schedule_at_ii(
     l: &Loop,
     machine: &Machine,
     ii: u32,
@@ -474,7 +462,9 @@ mod tests {
     fn schedule_at_exact_ii() {
         let l = chain(2);
         let m = Machine::pxly(1, 3);
-        let s = schedule_at_ii(&l, &m, 5).unwrap().unwrap();
+        let s = schedule_at_ii(&l, &m, 5, SchedulerOptions::default())
+            .unwrap()
+            .unwrap();
         assert_eq!(s.ii(), 5);
         assert!(verify(&l, &m, &s).is_ok());
     }

@@ -9,9 +9,10 @@
 //!   and [`rec_mii`] (recurrence-constrained, via positive-cycle detection
 //!   on the dependence graph) — combined by [`mii`];
 //! * **iterative modulo scheduling** ([`modulo_schedule`],
-//!   [`schedule_at_ii`]) following Rau's IMS: height-based priorities,
+//!   [`SchedContext`]) following Rau's IMS: height-based priorities,
 //!   earliest-start windows of II slots, budgeted eviction, and II escalation
-//!   when the budget is exhausted;
+//!   when the budget is exhausted; [`SchedContext::schedule_rung`] runs one
+//!   attempt at a fixed II and certifies when larger IIs cannot change it;
 //! * the resulting [`Schedule`]: per-operation start cycles and
 //!   functional-unit bindings, from which kernel slot, stage and — on a
 //!   clustered machine — the operation's *cluster* are derived;
@@ -52,11 +53,8 @@ mod mrt;
 mod schedule;
 mod table;
 
-pub use context::SchedContext;
-pub use ims::{
-    modulo_schedule, modulo_schedule_with, schedule_at_ii, Priority, ScheduleError,
-    SchedulerOptions,
-};
+pub use context::{Rung, SchedContext};
+pub use ims::{modulo_schedule, modulo_schedule_with, Priority, ScheduleError, SchedulerOptions};
 pub use kernel::{KernelSlotEntry, KernelView};
 pub use mii::{mii, rec_mii, res_mii, MiiInfo};
 pub use schedule::{verify, Schedule, VerifyError};

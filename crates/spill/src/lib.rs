@@ -55,11 +55,13 @@
 
 #![warn(missing_docs)]
 
+mod ladder;
 mod resched;
 mod rewrite;
 mod spiller;
 mod trajectory;
 
+pub use ladder::RequirementFloor;
 pub use resched::{full_resched_forced, set_full_resched};
 pub use rewrite::{spill_value, RewriteStats};
 pub use spiller::{

@@ -51,9 +51,10 @@
 //! # }
 //! ```
 
+use crate::ladder::{Ladder, RequirementFloor};
 use crate::resched::schedule_step;
 use crate::rewrite::spill_value;
-use crate::spiller::{escalate_ii, select_victim, SpillTally, VictimScratch, Xorshift64};
+use crate::spiller::{select_victim, SpillTally, VictimScratch, Xorshift64};
 use crate::{RequirementFn, SpillError, SpillOptions, SpillResult};
 use ncdrf_ddg::Loop;
 use ncdrf_machine::Machine;
@@ -227,11 +228,27 @@ pub struct ResumeStats {
     /// Spill steps (graph rewrite + reschedule + requirement) computed
     /// by this call. Zero means no step was recomputed.
     pub steps_computed: usize,
-    /// Whether the per-budget II-escalation fallback ran: the exhausted
-    /// descent could not fit this budget, so the call re-ran the
-    /// (budget-dependent, uncached) escalation scan. Such a call is
-    /// *not* a pure checkpoint hit even when `steps_computed` is zero.
+    /// Whether the II-escalation fallback served this budget: the
+    /// exhausted descent could not fit it, so the answer came from the
+    /// trajectory's escalation ladder. The ladder is budget-independent
+    /// and kept in memory, so a repeated budget recomputes no rung — but
+    /// such a call is still *not* a pure checkpoint hit.
     pub escalated: bool,
+    /// Escalation rungs this call scheduled (one IMS attempt each,
+    /// successful or not).
+    pub rungs_scheduled: usize,
+    /// Escalation rungs this call built from a stationary rung's
+    /// placements instead of rescheduling them.
+    pub rungs_rebuilt: usize,
+    /// Escalation rungs this call's answer passed over because the
+    /// model's requirement floor exceeds the budget (counted per call,
+    /// so a repeated budget counts them again).
+    pub rungs_skipped: usize,
+    /// The model floor that justified the skip, when
+    /// `rungs_skipped > 0`: the served (final) rung is unfit because
+    /// every rung from the first stationary one on needs at least this
+    /// many registers.
+    pub skip_floor: Option<u32>,
 }
 
 /// A checkpointed, resumable run of the paper's §5.4 spill loop.
@@ -255,7 +272,7 @@ pub struct SpillTrajectory {
     /// a fresh run would.
     rng: Xorshift64,
     /// No further victim exists (or `max_spills` was reached): the
-    /// descent cannot be extended, only escalated per budget.
+    /// descent cannot be extended, only escalated (see `ladder`).
     exhausted: bool,
     /// Incremental scheduling context threaded through every extension
     /// step (see [`ncdrf_sched::SchedContext`]): each `advance` reuses
@@ -263,6 +280,13 @@ pub struct SpillTrajectory {
     ctx: SchedContext,
     /// Victim-selection arena, reused across extension steps.
     scratch: VictimScratch,
+    /// The model's requirement floor, consulted by the escalation ladder
+    /// (see [`SpillTrajectory::with_requirement_floor`]).
+    floor: Option<RequirementFloor>,
+    /// The II-escalation ladder of the exhausted terminal checkpoint,
+    /// built on the first budget the descent cannot fit. In memory only:
+    /// snapshots do not carry it.
+    ladder: Option<Ladder>,
 }
 
 impl SpillTrajectory {
@@ -304,7 +328,19 @@ impl SpillTrajectory {
             exhausted: false,
             ctx: SchedContext::new(),
             scratch: VictimScratch::default(),
+            floor: None,
+            ladder: None,
         })
+    }
+
+    /// Declares the requirement model's floor (see [`RequirementFloor`]):
+    /// once the escalation ladder reaches a stationary rung, budgets below
+    /// the floor are served the final rung without evaluating the rungs in
+    /// between. Results are unchanged; only the work shrinks. Without a
+    /// floor every rung up to the answer is evaluated.
+    pub fn with_requirement_floor(mut self, floor: RequirementFloor) -> Self {
+        self.floor = Some(floor);
+        self
     }
 
     /// Serializes this trajectory's committed state into its
@@ -482,7 +518,7 @@ impl SpillTrajectory {
 
     /// Whether the descent ran out of spillable values (or hit
     /// `max_spills`) — deeper budgets can only be served by the
-    /// per-budget II-escalation fallback.
+    /// II-escalation fallback.
     pub fn is_exhausted(&self) -> bool {
         self.exhausted
     }
@@ -630,14 +666,15 @@ impl SpillTrajectory {
 
     /// Evaluates `budget`: serves it from the first fitting checkpoint,
     /// extending the trajectory only as far as this budget needs. When
-    /// the descent exhausts without fitting, the per-budget fallback of
-    /// the fresh driver runs (II escalation under
-    /// [`SpillOptions::escalate_ii`], an honest unfit result otherwise).
+    /// the descent exhausts without fitting, the fresh driver's fallback
+    /// serves it (II escalation under [`SpillOptions::escalate_ii`], from
+    /// the trajectory's in-memory ladder; an honest unfit result
+    /// otherwise).
     ///
     /// The returned [`SpillResult`] is bit-identical to
     /// [`crate::spill_until_fits_seeded`] with the same base schedule,
     /// requirement function and options; [`ResumeStats`] reports how many
-    /// steps this call actually computed.
+    /// steps and escalation rungs this call actually computed.
     ///
     /// # Errors
     ///
@@ -660,32 +697,43 @@ impl SpillTrajectory {
             }
             stats.steps_computed += 1;
         }
-        // Exhausted and nothing fits: the fresh driver's fallback, run
-        // per budget from the terminal state (budget-dependent, so never
-        // checkpointed).
+        // Exhausted and nothing fits: the fresh driver's fallback, served
+        // from the terminal state's escalation ladder (budget-independent,
+        // so every rung is evaluated at most once per trajectory).
         let terminal = self.checkpoints.len() - 1;
         let last = &self.checkpoints[terminal];
         if self.opts.escalate_ii {
             stats.escalated = true;
+            let l = &last
+                .state
+                .as_ref()
+                .expect("the terminal checkpoint retains its state")
+                .l;
             let tally = SpillTally {
                 spilled: self.spilled_names(terminal),
                 spill_stores: last.spill_stores,
                 spill_loads: last.spill_loads,
                 rounds: terminal + 1,
             };
-            let r = escalate_ii(
-                last.state
-                    .as_ref()
-                    .expect("the terminal checkpoint retains its state")
-                    .l
-                    .clone(),
+            let ladder = self
+                .ladder
+                .get_or_insert_with(|| Ladder::new(l, machine, last.ii));
+            // A scratch context of its own: rung arenas grow with the II
+            // (the reservation table has II rows), and a trajectory lives
+            // as long as its session, so the descent's context must not
+            // keep them.
+            let mut ctx = SchedContext::new();
+            let served = ladder.serve(
+                &mut ctx,
+                l,
                 machine,
                 budget,
                 requirement,
+                self.floor.as_ref(),
                 self.opts,
-                tally,
+                &mut stats,
             )?;
-            return Ok((r, stats));
+            return Ok((tally.escalated(l.to_owned(), served, budget), stats));
         }
         Ok((self.result_at(terminal, budget), stats))
     }
@@ -811,14 +859,17 @@ mod tests {
         let fresh =
             spill_until_fits_seeded(&l, &machine, base, 1, &mut requirement_unified, opts).unwrap();
         assert_eq!(r, fresh);
-        // A repeat of the below-floor budget re-runs the escalation scan
-        // and must say so — it is not a checkpoint hit.
+        // A repeat of the below-floor budget is served by the recorded
+        // escalation ladder (no rung is scheduled again) and must say so
+        // — it is not a checkpoint hit.
         if t.is_exhausted() {
             assert!(s.escalated);
+            assert!(s.rungs_scheduled > 0);
             let (r2, s2) = t.evaluate(&machine, 1, &mut requirement_unified).unwrap();
             assert_eq!(r2, r);
             assert!(s2.escalated);
             assert_eq!(s2.steps_computed, 0);
+            assert_eq!((s2.rungs_scheduled, s2.rungs_rebuilt), (0, 0));
         }
         // A later, larger budget is still served from the checkpoints.
         let (r64, s64) = t.evaluate(&machine, 64, &mut requirement_unified).unwrap();

@@ -139,3 +139,56 @@ fn duplicate_artifacts_for_one_lease_collapse_on_reconcile() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A deterministic byte stream: JSON punctuation and digits half of the
+/// time (so inputs reach deep into the grammar), arbitrary bytes —
+/// invalid UTF-8 included — otherwise.
+fn fuzz_bytes(seed: u64, len: usize) -> Vec<u8> {
+    const JSONISH: &[u8] = b"{}[]\",:0123456789-+.eEtrufalsn\\u \n";
+    let mut x = seed | 1;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if x & 1 == 0 {
+                JSONISH[(x >> 8) as usize % JSONISH.len()]
+            } else {
+                (x >> 16) as u8
+            }
+        })
+        .collect()
+}
+
+/// One rendered shard artifact, shared by every fuzz case.
+fn rendered_shard() -> &'static str {
+    static SHARD: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    SHARD.get_or_init(|| one_shard(&Corpus::small().take(2)).render(ReportFormat::Json))
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+    // Arbitrary byte strings never panic the parsers: raw noise, and a
+    // valid artifact with a run of bytes overwritten by noise, each come
+    // back as a value or a parse error — never a panic.
+    #[test]
+    fn arbitrary_bytes_never_panic_the_parsers(
+        seed in 0u64..u64::MAX,
+        len in 0usize..600,
+        at in 0usize..100_000,
+    ) {
+        let noise = fuzz_bytes(seed, len);
+        let text = String::from_utf8_lossy(&noise);
+        let _ = serde_json::from_str(&text);
+        let _ = ncdrf::parse_sweep_shard(&text);
+
+        let mut doc = rendered_shard().as_bytes().to_vec();
+        let at = at % doc.len();
+        let end = (at + noise.len()).min(doc.len());
+        doc[at..end].copy_from_slice(&noise[..end - at]);
+        let text = String::from_utf8_lossy(&doc);
+        let _ = serde_json::from_str(&text);
+        let _ = ncdrf::parse_sweep_shard(&text);
+    }
+}

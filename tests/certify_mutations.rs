@@ -326,3 +326,131 @@ fn inconsistent_eval_scalars_are_rejected() {
     let err = certify_eval(&l, &machine, &l, &base.sched, &[], 0, 0, &lying).unwrap_err();
     assert_eq!(err.rule, ncdrf::RULE_SPILL_SHAPE, "{err}");
 }
+
+/// The II-escalation floor skips of the `extended` model families
+/// certify clean: a certify-mode session re-checks every skip (the
+/// final rung's single-iteration overlap must support a floor above the
+/// budget) and changes no result.
+#[test]
+fn floor_skips_certify_clean() {
+    let machine = Machine::clustered(3, 1);
+    let plain = Session::new(machine.clone());
+    let certified = certifying_session(machine);
+    for l in Corpus::small().take(40).iter() {
+        for budget in [16, 8] {
+            for model in [ModelId::UNIFIED, ModelId::PORT_LIMITED, ModelId::COMPRESSED] {
+                let e = certified.evaluate(l, model, budget).unwrap();
+                assert_eq!(e, plain.evaluate(l, model, budget).unwrap(), "{}", l.name());
+            }
+        }
+    }
+    assert!(
+        certified.escalation_stats().rungs_skipped > 0,
+        "the slice must exercise the floor skip"
+    );
+    assert_eq!(certified.escalation_stats(), plain.escalation_stats());
+}
+
+/// Corruption class 5: an understated floor. A certifier that is handed
+/// the skip's floor lowered to the budget — the claim of a ladder whose
+/// floor no longer exceeds the budget, so the skipped rungs were never
+/// proven unfit — must reject the cell with `floor-skip`, and shard
+/// certification must locate it by cell coordinates.
+#[test]
+fn understated_floor_is_rejected_by_cell_coordinates() {
+    use ncdrf::ddg::Loop;
+    use ncdrf::sched::Schedule;
+    use ncdrf::{CellCertifier, CertifyViolation, LoopAnalysis, LoopEval};
+
+    #[derive(Debug)]
+    struct UnderstatedFloor;
+
+    impl CellCertifier for UnderstatedFloor {
+        fn certify_analysis(
+            &self,
+            l: &Loop,
+            machine: &Machine,
+            sched: &Schedule,
+            analysis: &LoopAnalysis,
+        ) -> Result<(), CertifyViolation> {
+            ScheduleCertifier.certify_analysis(l, machine, sched, analysis)
+        }
+
+        fn certify_eval(
+            &self,
+            original: &Loop,
+            machine: &Machine,
+            final_l: &Loop,
+            sched: &Schedule,
+            spilled: &[String],
+            spill_stores: usize,
+            spill_loads: usize,
+            eval: &LoopEval,
+        ) -> Result<(), CertifyViolation> {
+            ScheduleCertifier.certify_eval(
+                original,
+                machine,
+                final_l,
+                sched,
+                spilled,
+                spill_stores,
+                spill_loads,
+                eval,
+            )
+        }
+
+        fn certify_checkpoint(
+            &self,
+            step: usize,
+            l: &Loop,
+            machine: &Machine,
+            sched: &Schedule,
+            model: ModelId,
+            regs: u32,
+        ) -> Result<(), CertifyViolation> {
+            ScheduleCertifier.certify_checkpoint(step, l, machine, sched, model, regs)
+        }
+
+        fn certify_floor_skip(
+            &self,
+            l: &Loop,
+            machine: &Machine,
+            sched: &Schedule,
+            model: ModelId,
+            budget: u32,
+            regs: u32,
+            _claimed_floor: u32,
+        ) -> Result<(), CertifyViolation> {
+            // The seeded mutation: the floor is understated to the budget.
+            ScheduleCertifier.certify_floor_skip(l, machine, sched, model, budget, regs, budget)
+        }
+    }
+
+    let corpus = Corpus::small().take(40);
+    let shard = ncdrf::preset_sweep(&corpus, "extended")
+        .expect("preset")
+        .shard(0, 1)
+        .expect("shard runs");
+    assert!(
+        ncdrf::certify_shard(&shard, Arc::new(ScheduleCertifier))
+            .unwrap()
+            .is_empty(),
+        "the honest shard certifies clean"
+    );
+    let faults = ncdrf::certify_shard(&shard, Arc::new(UnderstatedFloor)).unwrap();
+    assert!(!faults.is_empty(), "the understated floor went unnoticed");
+    for fault in &faults {
+        let rendered = fault.to_string();
+        assert!(rendered.contains("[floor-skip]"), "{rendered}");
+        assert!(
+            rendered.contains(&format!("cell {} ", fault.task))
+                && rendered.contains(&format!("`{}`", fault.loop_name))
+                && rendered.contains(&fault.machine),
+            "the fault must name the cell's coordinates: {rendered}"
+        );
+        assert!(
+            rendered.contains("does not exceed the budget"),
+            "{rendered}"
+        );
+    }
+}

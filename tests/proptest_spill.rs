@@ -23,7 +23,9 @@
 
 use ncdrf::corpus::{generate, kernels, GenConfig};
 use ncdrf::machine::Machine;
-use ncdrf::sched::{modulo_schedule, modulo_schedule_with, SchedContext, SchedulerOptions};
+use ncdrf::sched::{
+    modulo_schedule, modulo_schedule_with, Priority, SchedContext, Schedule, SchedulerOptions,
+};
 use ncdrf::spill::{
     requirement_unified, set_full_resched, spill_until_fits_seeded, spill_value, SpillOptions,
     SpillPolicy, SpillTrajectory,
@@ -291,6 +293,64 @@ proptest! {
             .map(|&b| session.evaluate(&l, ncdrf::Model::Unified, b).unwrap())
             .collect();
         prop_assert_eq!(before, after);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // Stationarity soundness, the premise of the II-escalation ladder:
+    // when a rung carries the certificate, every larger II — the next
+    // eight and the sequential length — schedules to identical starts
+    // and units (so `Schedule::from_parts` rebuilds it exactly) and stays
+    // certified. Checked on generated loops and on their exhausted
+    // (fully spilled) form, under both priorities.
+    #[test]
+    fn stationary_rungs_fix_every_larger_ii(
+        seed in 0u64..3_000,
+        cfg in arb_config(),
+        lat in prop_oneof![Just(3u32), Just(6u32)],
+        input_order in 0u8..2,
+    ) {
+        let l = generate("prop", seed, &cfg);
+        let machine = Machine::clustered(lat, 1);
+        let opts = SchedulerOptions {
+            priority: if input_order == 1 { Priority::InputOrder } else { Priority::Height },
+            ..SchedulerOptions::default()
+        };
+        let spill = SpillOptions { scheduler: opts, ..SpillOptions::default() };
+        let exhausted = deep_trajectory(&l, &machine, spill)
+            .checkpoints()
+            .last()
+            .and_then(|c| c.loop_state())
+            .expect("the terminal checkpoint keeps its loop")
+            .clone();
+        for lp in [&l, &exhausted] {
+            let seq_len: u32 = lp
+                .ops()
+                .iter()
+                .map(|op| machine.latency(op.kind()).unwrap() + 1)
+                .sum::<u32>()
+                + 1;
+            let base = modulo_schedule_with(lp, &machine, opts).unwrap().ii();
+            let mut ctx = SchedContext::new();
+            let stationary = (base..=seq_len.max(base))
+                .filter_map(|ii| ctx.schedule_rung(lp, &machine, ii, opts).unwrap())
+                .find(|rung| rung.stationary);
+            let Some(rung) = stationary else { continue };
+            let ii = rung.sched.ii();
+            let starts: Vec<u32> = lp.iter_ops().map(|(id, _)| rung.sched.start(id)).collect();
+            let units: Vec<_> = lp.iter_ops().map(|(id, _)| rung.sched.unit(id)).collect();
+            for larger in (ii + 1..=ii + 8).chain([seq_len.max(ii + 1)]) {
+                let other = ctx.schedule_rung(lp, &machine, larger, opts).unwrap();
+                prop_assert!(other.is_some(), "II {} scheduled but {} did not", ii, larger);
+                let other = other.unwrap();
+                prop_assert!(other.stationary, "II {} lost the certificate", larger);
+                let rebuilt =
+                    Schedule::from_parts(lp, &machine, larger, starts.clone(), units.clone());
+                prop_assert_eq!(other.sched, rebuilt);
+            }
+        }
     }
 }
 
